@@ -7,13 +7,16 @@ package core
 // under concurrent Ingest/Remove churn (run them with -race).
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
 	"seqrep/internal/breaking"
+	"seqrep/internal/dft"
 	"seqrep/internal/dist"
 	"seqrep/internal/seq"
 	"seqrep/internal/store"
@@ -318,5 +321,201 @@ func churnEquivalence(t *testing.T, leaf int, paged bool) {
 		if !reflect.DeepEqual(indexed, scanned) {
 			t.Errorf("quiesced eps=%g: indexed %+v != scan %+v", eps, indexed, scanned)
 		}
+	}
+}
+
+// provenanceFamily is one routed query family of the mixed-provenance
+// suites: its indexed plan, its scan oracle, its progressive form, and
+// the deviation key carrying its exact distance.
+type provenanceFamily struct {
+	name   string
+	devKey string
+	exact  func(eps float64) ([]Match, QueryStats, error)
+	scan   func(eps float64) ([]Match, QueryStats, error)
+	prog   func(eps float64, yield func(ProgressiveMatch) bool) (QueryStats, error)
+}
+
+// provenanceFamilies lists every family the planner routes through the
+// feature index: value, l2 and zl2.
+func provenanceFamilies(db *DB, exemplar seq.Sequence) []provenanceFamily {
+	families := []provenanceFamily{{
+		name:   "value",
+		devKey: "value",
+		exact:  func(eps float64) ([]Match, QueryStats, error) { return db.ValueQueryStats(exemplar, eps) },
+		scan:   func(eps float64) ([]Match, QueryStats, error) { return db.valueScan(exemplar, eps) },
+		prog: func(eps float64, yield func(ProgressiveMatch) bool) (QueryStats, error) {
+			return db.ValueQueryProgressive(context.Background(), exemplar, eps, QueryOptions{}, yield)
+		},
+	}}
+	for _, m := range []dist.Metric{dist.Euclidean, dist.ZEuclidean} {
+		families = append(families, provenanceFamily{
+			name:   m.Name(),
+			devKey: m.Name(),
+			exact:  func(eps float64) ([]Match, QueryStats, error) { return db.DistanceQueryStats(exemplar, m, eps) },
+			scan:   func(eps float64) ([]Match, QueryStats, error) { return db.distanceScan(exemplar, m, eps) },
+			prog: func(eps float64, yield func(ProgressiveMatch) bool) (QueryStats, error) {
+				return db.DistanceQueryProgressive(context.Background(), exemplar, m, eps, QueryOptions{}, yield)
+			},
+		})
+	}
+	return families
+}
+
+// legacyFeatures is the feature vector of vals as the full transform
+// computes it — what builds before the first-k kernel persisted.
+func legacyFeatures(vals []float64, k int) []float64 {
+	coeffs := dft.Transform(vals)
+	out := make([]float64, 2*k)
+	for i := 0; i < k && i < len(coeffs); i++ {
+		out[2*i], out[2*i+1] = real(coeffs[i]), imag(coeffs[i])
+	}
+	return out
+}
+
+// swapLegacyRows replaces the feature rows of the records pick selects
+// with legacyFeatures ones and returns how many of those differ from the
+// kernel's rows; it fails the test when nothing was swapped.
+func swapLegacyRows(t *testing.T, db *DB, pick func(id string) bool) (differ int) {
+	t.Helper()
+	swapped := 0
+	for _, recs := range db.snapshotRecords() {
+		for _, rec := range recs {
+			if !pick(rec.ID) {
+				continue
+			}
+			vals, ok := db.comparisonValues(rec, nil)
+			if !ok {
+				t.Fatalf("%s: comparison values unavailable", rec.ID)
+			}
+			feats := legacyFeatures(vals, db.findex.k)
+			zfeats := legacyFeatures(dist.ZNormalizeValues(vals), db.findex.k)
+			if !reflect.DeepEqual(feats, rec.feats) || !reflect.DeepEqual(zfeats, rec.zfeats) {
+				differ++
+			}
+			db.findex.remove(rec)
+			rec.feats, rec.zfeats = feats, zfeats
+			db.findex.add(rec)
+			swapped++
+		}
+	}
+	if swapped == 0 {
+		t.Fatal("no feature rows swapped: the suite is not mixing provenance")
+	}
+	return differ
+}
+
+// checkProvenanceAt runs one family at eps on the indexed, scan and
+// progressive plans, requires the indexed answer to equal the scan's bit
+// for bit and the progressive one to accept exactly the scan's matches
+// with the same deviations, and returns the scan's answer and the
+// indexed plan's pruned count.
+func checkProvenanceAt(t *testing.T, f provenanceFamily, eps float64) ([]Match, int) {
+	t.Helper()
+	scanned, _, err := f.scan(eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed, stats, err := f.exact(eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Plan != PlanIndex {
+		t.Errorf("%s eps=%v: plan = %q, want index", f.name, eps, stats.Plan)
+	}
+	if !reflect.DeepEqual(indexed, scanned) {
+		t.Errorf("%s eps=%v: indexed %+v != scan %+v", f.name, eps, indexed, scanned)
+	}
+	frames, _ := collectFrames(t, func(yield func(ProgressiveMatch) bool) (QueryStats, error) {
+		return f.prog(eps, yield)
+	})
+	accepted := acceptedOf(frames)
+	if len(accepted) != len(scanned) {
+		t.Errorf("%s eps=%v: progressive accepted %d, scan matched %d", f.name, eps, len(accepted), len(scanned))
+	}
+	for _, sm := range scanned {
+		if pm, ok := accepted[sm.ID]; !ok || pm.Deviations[f.devKey] != sm.Deviations[f.devKey] {
+			t.Errorf("%s eps=%v: progressive %+v != scan %+v for %s", f.name, eps, pm, sm, sm.ID)
+		}
+	}
+	return scanned, stats.Pruned
+}
+
+// TestMixedProvenanceFeatures: feature rows computed by the full
+// transform — what builds before the first-k kernel persisted — must
+// prune soundly against exemplar vectors from the kernel. Half the
+// records get their rows recomputed with dft.Transform; every routed
+// query (l2, zl2, value, and their progressive forms), at radii equal to
+// records' exact distances, must still equal the scan bit for bit.
+func TestMixedProvenanceFeatures(t *testing.T) {
+	for _, leaf := range leafConfigs {
+		t.Run(fmt.Sprintf("leaf=%d", leaf), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1996))
+			db := mustDB(t, Config{Archive: store.NewMemArchive(), IndexLeaf: leaf})
+			exemplar := equivalenceWorkload(t, db, rng, 97)
+			if swapLegacyRows(t, db, func(id string) bool { return id[len(id)-1]%2 == 0 }) == 0 {
+				t.Fatal("no legacy row differs from the kernel's: the suite is not mixing provenance")
+			}
+			pruned := 0
+			for _, f := range provenanceFamilies(db, exemplar) {
+				all, _, err := f.scan(math.Inf(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rm := range all {
+					_, p := checkProvenanceAt(t, f, rm.Deviations[f.devKey])
+					pruned += p
+				}
+			}
+			if pruned == 0 {
+				t.Error("no query pruned a candidate: the suite is not exercising the index")
+			}
+		})
+	}
+}
+
+// TestMixedProvenanceExactDuplicate: the regime where radius-relative
+// slack is no help. A stored record identical to the exemplar has exact
+// distance 0, so a query WITHIN 0 must return it; with its rows from the
+// full transform and the exemplar's from the kernel, the two vectors
+// differ by rounding that scales with ‖x‖₂. 540-sample strips on a
+// body-temperature baseline (‖x‖₂ ≈ 860, like the ECG strips the server
+// serves) put that gap above the planner's absolute 1e-12 whisker.
+func TestMixedProvenanceExactDuplicate(t *testing.T) {
+	const n = 540
+	for _, leaf := range leafConfigs {
+		t.Run(fmt.Sprintf("leaf=%d", leaf), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(37))
+			db := mustDB(t, Config{Archive: store.NewMemArchive(), IndexLeaf: leaf})
+			strip := func() seq.Sequence {
+				vals := make([]float64, n)
+				phase := 2 * math.Pi * rng.Float64()
+				for i := range vals {
+					vals[i] = 37 + 0.5*math.Sin(2*math.Pi*float64(i)/54+phase) + 0.05*rng.NormFloat64()
+				}
+				return seq.New(vals)
+			}
+			exemplar := strip()
+			mustIngest(t, db, "dup", exemplar.Clone())
+			for i := 0; i < 12; i++ {
+				mustIngest(t, db, fmt.Sprintf("strip-%02d", i), strip())
+			}
+			swapLegacyRows(t, db, func(id string) bool { return id == "dup" || id[len(id)-1]%2 == 0 })
+			dup, _ := db.Record("dup")
+			qf, err := dft.Features(exemplar.Values(), db.findex.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gap := dft.FeatureDist(qf, dup.feats)
+			if gap <= 1e-12 {
+				t.Fatalf("kernel/legacy feature gap %g is within the 1e-12 whisker: the suite does not reach the norm-scaled regime", gap)
+			}
+			t.Logf("kernel/legacy feature gap of the duplicate: %g", gap)
+			for _, f := range provenanceFamilies(db, exemplar) {
+				scanned, _ := checkProvenanceAt(t, f, 0)
+				if len(scanned) == 0 || scanned[0].ID != "dup" {
+					t.Errorf("%s: scan at eps=0 = %+v, want the duplicate", f.name, scanned)
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"seqrep/internal/dft"
@@ -88,13 +89,41 @@ type lowerBound struct {
 	qf    []float64
 	bound float64
 	z     bool
+	// pad is the exemplar's featurePad, already part of bound.
+	pad float64
 }
 
 // lbSlack widens a lower-bound threshold by a whisker of floating-point
 // headroom: the no-false-dismissal guarantee is exact in real arithmetic,
-// and the slack keeps DFT rounding at the decision boundary from ever
-// turning it into a dismissal.
+// and the slack keeps rounding at the decision boundary from ever
+// turning it into a dismissal. Feature-space thresholds add featurePad.
 func lbSlack(bound float64) float64 { return bound*(1+1e-9) + 1e-12 }
+
+// featurePad is the feature-distance headroom for an exemplar whose
+// feature vector was computed from src by the first-k kernel. Stored rows
+// may come from the full transform (the on-disk format keeps whatever
+// computation wrote them), and each coefficient of either vector is
+// within dft.CoeffDrift·‖·‖₂ of the other computation's, so over k
+// coefficients the feature distance to a record x shifts by at most
+// √k·CoeffDrift·(‖q‖₂ + ‖x‖₂). A record within the threshold b has
+// ‖x‖₂ ≤ ‖q‖₂ + b, and the b part sits inside lbSlack's relative term,
+// which leaves 2·√k·CoeffDrift·‖q‖₂. Unlike lbSlack's whiskers it scales
+// with the exemplar, not the radius, so it matters at radius 0: an exact
+// duplicate with a row from the other computation. A non-finite sample
+// makes it NaN or +Inf, which disables pruning.
+func featurePad(src []float64, k int) float64 {
+	var ss float64
+	for _, v := range src {
+		ss += v * v
+	}
+	return 2 * dft.CoeffDrift * math.Sqrt(float64(k)*ss)
+}
+
+// featureSlack is lbSlack plus the exemplar's featurePad: the mapping
+// from an L2 radius onto the feature-space pruning threshold.
+func featureSlack(pad float64) func(float64) float64 {
+	return func(b float64) float64 { return lbSlack(b) + pad }
+}
 
 // distanceLowerBound returns the feature-space pruning rule for metric m
 // on this exemplar — plus the mapping from a verification radius onto
@@ -114,18 +143,19 @@ func lbSlack(bound float64) float64 { return bound*(1+1e-9) + 1e-12 }
 func (db *DB) distanceLowerBound(exemplar seq.Sequence, m dist.Metric, eps float64) (*lowerBound, func(float64) float64, bool) {
 	k := db.findex.k
 	switch m.Name() {
-	case dist.Euclidean.Name():
-		qf, err := dft.Features(exemplar.Values(), k)
+	case dist.Euclidean.Name(), dist.ZEuclidean.Name():
+		z := m.Name() == dist.ZEuclidean.Name()
+		src := exemplar.Values()
+		if z {
+			src = dist.ZNormalizeValues(src)
+		}
+		qf, err := dft.Features(src, k)
 		if err != nil {
 			return nil, nil, false
 		}
-		return &lowerBound{qf: qf, bound: lbSlack(eps)}, lbSlack, true
-	case dist.ZEuclidean.Name():
-		qf, err := dft.Features(dist.ZNormalizeValues(exemplar.Values()), k)
-		if err != nil {
-			return nil, nil, false
-		}
-		return &lowerBound{qf: qf, bound: lbSlack(eps), z: true}, lbSlack, true
+		pad := featurePad(src, k)
+		slack := featureSlack(pad)
+		return &lowerBound{qf: qf, bound: slack(eps), z: z, pad: pad}, slack, true
 	}
 	return nil, nil, false
 }

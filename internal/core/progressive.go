@@ -129,6 +129,10 @@ type progSpec struct {
 	qf     []float64
 	fscale float64
 	useZ   bool
+	// fpad is qf's featurePad: the feature distance less fpad is still
+	// a lower bound on the exemplar's distance to a row computed by the
+	// other feature computation.
+	fpad float64
 }
 
 // bandFloor shrinks a mathematically sound lower bound by the same
@@ -169,7 +173,9 @@ func featureScale(metric string, n int) (scale float64, useZ bool) {
 }
 
 // progressiveSpec wraps a compiled querySpec for cascade execution,
-// computing the exemplar-side sketch and feature vector once.
+// computing the exemplar-side sketch and feature vector once — the
+// feature vector is the spec's own pruning vector whenever that was
+// computed over the same (plain or z-normalized) values.
 func (db *DB) progressiveSpec(spec *querySpec, exemplar seq.Sequence, devKey string) *progSpec {
 	ps := &progSpec{spec: spec, devKey: devKey}
 	vals := exemplar.Values()
@@ -179,12 +185,16 @@ func (db *DB) progressiveSpec(spec *querySpec, exemplar seq.Sequence, devKey str
 	if db.findex != nil {
 		scale, useZ := featureScale(spec.metric, len(vals))
 		if scale > 0 {
+			if spec.lb != nil && spec.lb.z == useZ {
+				ps.qf, ps.fscale, ps.useZ, ps.fpad = spec.lb.qf, scale, useZ, spec.lb.pad
+				return ps
+			}
 			src := vals
 			if useZ {
 				src = dist.ZNormalizeValues(vals)
 			}
 			if qf, err := dft.Features(src, db.findex.k); err == nil {
-				ps.qf, ps.fscale, ps.useZ = qf, scale, useZ
+				ps.qf, ps.fscale, ps.useZ, ps.fpad = qf, scale, useZ, featurePad(src, db.findex.k)
 			}
 		}
 	}
@@ -361,7 +371,7 @@ func (db *DB) runProgressive(ctx context.Context, ps *progSpec, opts QueryOption
 				return
 			}
 			band := it.band
-			if flo := bandFloor(dft.FeatureDist(ps.qf, feats) * ps.fscale); flo > band.Lo {
+			if flo := bandFloor((dft.FeatureDist(ps.qf, feats) - ps.fpad) * ps.fscale); flo > band.Lo {
 				if flo > band.Hi {
 					flo = band.Hi // both edges are slacked; never invert the band
 				}

@@ -441,6 +441,42 @@ func checkProgressiveFamily(t *testing.T, db *DB, corpus map[string]seq.Sequence
 	}
 }
 
+// TestProgressiveReusesExemplarFeatures: when the compiled spec already
+// carries the exemplar's feature vector over the values the cascade
+// needs, the cascade uses that very slice instead of transforming the
+// exemplar a second time; metrics without a pruning rule compute their
+// own.
+func TestProgressiveReusesExemplarFeatures(t *testing.T) {
+	corpus := progressiveCorpus(t)
+	db := progressiveDB(t, Config{}, corpus)
+	exemplar := corpus["exemplar"]
+	valueSpec, err := db.valueSpec(exemplar, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := map[string]*querySpec{"value": valueSpec}
+	for _, m := range []dist.Metric{dist.Euclidean, dist.ZEuclidean, dist.Chebyshev} {
+		if specs[m.Name()], err = db.distanceSpec(exemplar, m, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, spec := range specs {
+		ps := db.progressiveSpec(spec, exemplar, name)
+		switch {
+		case len(ps.qf) == 0:
+			t.Errorf("%s: no exemplar features", name)
+		case name == "linf":
+			if spec.lb != nil {
+				t.Error("linf compiled a pruning rule; the recompute branch is untested")
+			}
+		case spec.lb == nil:
+			t.Errorf("%s: no pruning rule compiled", name)
+		case &ps.qf[0] != &spec.lb.qf[0]:
+			t.Errorf("%s: progressive spec recomputed the exemplar features", name)
+		}
+	}
+}
+
 // TestProgressiveRejectsTopK pins the documented incompatibility: a
 // band-accepted answer has no exact distance to rank by.
 func TestProgressiveRejectsTopK(t *testing.T) {

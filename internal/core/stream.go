@@ -326,10 +326,13 @@ func (db *DB) valueSpec(exemplar seq.Sequence, eps float64) (*querySpec, error) 
 		},
 	}
 	if db.findex != nil {
-		if qf, err := dft.Features(exemplar.Values(), db.findex.k); err == nil {
+		vals := exemplar.Values()
+		if qf, err := dft.Features(vals, db.findex.k); err == nil {
 			scale := math.Sqrt(float64(len(exemplar)))
-			boundOf := func(r float64) float64 { return lbSlack(r * scale) }
-			spec.lb = &lowerBound{qf: qf, bound: boundOf(eps)}
+			pad := featurePad(vals, db.findex.k)
+			slack := featureSlack(pad)
+			boundOf := func(r float64) float64 { return slack(r * scale) }
+			spec.lb = &lowerBound{qf: qf, bound: boundOf(eps), pad: pad}
 			spec.boundOf = boundOf
 		}
 	}

@@ -1,6 +1,7 @@
 package dft
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -31,6 +32,24 @@ func BenchmarkFFT512(b *testing.B) {
 		if _, err := FFT(vals); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFeatures measures the 8-coefficient feature vector at the
+// lengths the system serves: the 97-sample exemplars of the query benches,
+// the 540-sample ECG strips, and a power of two (where the full transform
+// would have taken the FFT path).
+func BenchmarkFeatures(b *testing.B) {
+	for _, n := range []int{97, 540, 1024} {
+		vals := randVals(n, 1)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Features(vals, 8); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -164,6 +164,87 @@ func TestFeatures(t *testing.T) {
 	}
 }
 
+// TestFeaturesMatchTransform pins the first-k kernel to the full
+// transforms: the direct DFT for arbitrary lengths, the FFT for powers of
+// two. Parseval gives |X_k| ≤ ‖x‖₂, so the drift bound is relative to it.
+// At n=65536 all n+3 features would cost 4·10⁹ terms, so that length
+// takes k up to 1024 plus the kernel evaluated at bins spread over the
+// whole spectrum, where the root's angle — and its rounding — is largest.
+func TestFeaturesMatchTransform(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{1, 2, 3, 5, 7, 97, 540, 1000, 1024, 4096, 65536} {
+		vals := make([]float64, n)
+		norm := 0.0
+		for i := range vals {
+			vals[i] = 10 * rng.NormFloat64()
+			norm += vals[i] * vals[i]
+		}
+		norm = math.Sqrt(norm)
+		var want []complex128
+		if n&(n-1) == 0 && n >= 1024 {
+			var err error
+			if want, err = FFT(vals); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			want = DFT(vals)
+		}
+		ks := []int{1, 8, n + 3}
+		if n == 65536 {
+			ks[2] = 1024
+			worst := 0.0
+			for i := n - 1; i >= 0; i -= 1021 {
+				worst = max(worst, cmplxAbs(coefficient(vals, i)-want[i]))
+			}
+			if worst > CoeffDrift*norm {
+				t.Errorf("n=%d: spread bins drift %g exceeds CoeffDrift·‖x‖₂ = %g", n, worst, CoeffDrift*norm)
+			}
+		}
+		for _, k := range ks {
+			got, err := Features(vals, k)
+			if err != nil {
+				t.Fatalf("n=%d k=%d: %v", n, k, err)
+			}
+			if len(got) != 2*k {
+				t.Fatalf("n=%d k=%d: %d features, want %d", n, k, len(got), 2*k)
+			}
+			worst := 0.0
+			for i := range min(k, n) {
+				worst = max(worst, cmplxAbs(complex(got[2*i], got[2*i+1])-want[i]))
+			}
+			if worst > CoeffDrift*norm {
+				t.Errorf("n=%d k=%d: max |Δ| %g exceeds CoeffDrift·‖x‖₂ = %g", n, k, worst, CoeffDrift*norm)
+			}
+			for i := 2 * min(k, n); i < len(got); i++ {
+				if got[i] != 0 {
+					t.Fatalf("n=%d k=%d: feature[%d] = %g past the length, want 0", n, k, i, got[i])
+				}
+			}
+		}
+	}
+	for _, k := range []int{0, -1} {
+		if _, err := Features([]float64{1, 2, 3}, k); err == nil {
+			t.Errorf("k=%d accepted", k)
+		}
+	}
+}
+
+// TestFeaturesNaN: a NaN sample poisons every coefficient it feeds, so
+// callers that prune only on a provably-greater distance fall through to
+// exact verification instead of dismissing the record.
+func TestFeaturesNaN(t *testing.T) {
+	vals := []float64{1, 2, math.NaN(), 4, 5}
+	f, err := Features(vals, len(vals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range f {
+		if !math.IsNaN(v) {
+			t.Errorf("feature[%d] = %g, want NaN", i, v)
+		}
+	}
+}
+
 func TestFeatureDistanceLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 50; trial++ {

@@ -31,7 +31,6 @@ type WindowMatch struct {
 type slidingDFT struct {
 	vals      []float64
 	w         int
-	kEff      int
 	scale     float64      // 1/√w
 	rot       []complex128 // rot[k] = e^{+2πik/w}
 	c         []complex128 // current window's first kEff coefficients
@@ -45,7 +44,6 @@ func newSlidingDFT(vals []float64, w, kEff int) *slidingDFT {
 	s := &slidingDFT{
 		vals:  vals,
 		w:     w,
-		kEff:  kEff,
 		scale: 1 / math.Sqrt(float64(w)),
 		rot:   make([]complex128, kEff),
 		c:     make([]complex128, kEff),
@@ -57,19 +55,12 @@ func newSlidingDFT(vals []float64, w, kEff int) *slidingDFT {
 	return s
 }
 
-// seed recomputes the coefficients of the window at off exactly (a direct
-// partial transform of just kEff coefficients), resetting drift.
+// seed recomputes the coefficients of the window at off exactly (the
+// first-kEff kernel Features uses), resetting drift.
 func (s *slidingDFT) seed(off int) {
 	win := s.vals[off : off+s.w]
-	for k := 0; k < s.kEff; k++ {
-		step := cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(s.w)))
-		cur := complex(1, 0)
-		var sum complex128
-		for _, v := range win {
-			sum += complex(v, 0) * cur
-			cur *= step
-		}
-		s.c[k] = sum * complex(s.scale, 0)
+	for k := range s.c {
+		s.c[k] = coefficient(win, k)
 	}
 	s.off, s.sinceSeed = off, 0
 }
